@@ -27,12 +27,12 @@ Run::
         [--batch N] [--workers N] [--rounds N] [--no-regress] [--no-record]
 
 ``--no-regress`` holds this run's batched-vs-prepared speedup to >= 0.98x
-the checked-in ``BENCH_verify_throughput.json`` reference (the record's
-conservative per-round floor), mirroring ``bench_groth16.py``'s gate.
+the conservative per-round floor recorded in the verified head of
+``benchmarks/history/verify_throughput.jsonl``.  A missing or broken
+history fails the gate (exit 1); it never skips.
 """
 
 import argparse
-import json
 import os
 
 from repro import telemetry
@@ -50,6 +50,7 @@ from repro.groth16 import (
 from repro.groth16.verify import PreparedVerifyingKey
 from repro.r1cs import ConstraintSystem
 from repro.telemetry.bench import write_bench_record
+from repro.telemetry.certify import history_path, read_history, verify_history
 from repro.telemetry.clocks import perf
 from repro.telemetry.trace import span
 
@@ -57,30 +58,35 @@ FR = PrimeField(BN254_R)
 R = BN254_R
 
 #: --no-regress floor: this run's batched-vs-prepared speedup may not fall
-#: below this fraction of the checked-in BENCH_verify_throughput.json record
-#: (the field-backend never-regress rule: a representation change that does
-#: not win must at least not lose)
+#: below this fraction of the floor recorded in the history head
 NO_REGRESS_FLOOR = 0.98
 
+#: the checked-in certificate chains, next to this file
+HISTORY_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "history"
+)
 
-def recorded_speedup(directory=None):
-    """The gate reference from the checked-in bench record, or None when
-    no record exists yet (first run bootstraps the gate).
 
-    Prefers the conservative per-round floor; records written before the
-    floor existed fall back to the headline best-of ratio.
+def recorded_speedup(history_dir=None):
+    """The gate reference: ``batched_vs_prepared_floor`` from the verified
+    head of the ``verify_throughput`` history.
+
+    Returns ``(value, None)``, or ``(None, reason)`` when the history is
+    missing, fails chain verification, or its head records no floor.
     """
-    path = os.path.join(directory or os.getcwd(),
-                        "BENCH_verify_throughput.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    results = record.get("results", {})
-    value = results.get("batched_vs_prepared_floor",
-                        results.get("batched_vs_prepared"))
-    return value if isinstance(value, (int, float)) else None
+    path = history_path("verify_throughput", history_dir or HISTORY_DIR)
+    if not os.path.exists(path):
+        return None, "no history at %s" % path
+    entries = read_history(path)
+    problems = verify_history(entries)
+    if problems:
+        return None, "history %s is broken: %s" % (path, "; ".join(problems))
+    if not entries:
+        return None, "history %s is empty" % path
+    value = entries[-1].get("results", {}).get("batched_vs_prepared_floor")
+    if not isinstance(value, (int, float)):
+        return None, "history head in %s records no floor" % path
+    return value, None
 
 
 def cubic_system(w_val):
@@ -279,7 +285,7 @@ def main(argv=None):
     parser.add_argument(
         "--no-regress", action="store_true",
         help="fail (exit 1) unless this run's batched-vs-prepared speedup "
-             "stays >= %.2f x the checked-in record" % NO_REGRESS_FLOOR,
+             "stays >= %.2f x the floor in the history head" % NO_REGRESS_FLOOR,
     )
     args = parser.parse_args(argv)
 
@@ -289,8 +295,12 @@ def main(argv=None):
     rounds = args.rounds or 3
     if args.trace:
         telemetry.enable()
-    # the reference value must be read before write_bench_record replaces it
-    reference = recorded_speedup()
+    if args.no_regress:
+        # fail before the expensive run when there is nothing to gate against
+        reference, missing = recorded_speedup()
+        if reference is None:
+            print("no-regress gate: %s" % missing)
+            raise SystemExit(1)
     speedup, results = run(args.batch, args.workers, rounds, seed=args.seed)
     if args.trace:
         print()
@@ -302,17 +312,14 @@ def main(argv=None):
         print("wrote %s"
               % write_bench_record("verify_throughput", config, results))
     if args.no_regress:
-        if reference is None:
-            print("no checked-in record to gate against; skipping --no-regress")
-        else:
-            floor = NO_REGRESS_FLOOR * reference
-            if speedup < floor:
-                print("REGRESSION: batched_vs_prepared %.3f < %.3f "
-                      "(%.2f x recorded %.3f)"
-                      % (speedup, floor, NO_REGRESS_FLOOR, reference))
-                raise SystemExit(1)
-            print("no-regress gate: %.3f >= %.3f (%.2f x recorded %.3f)"
+        floor = NO_REGRESS_FLOOR * reference
+        if speedup < floor:
+            print("REGRESSION: batched_vs_prepared %.3f < %.3f "
+                  "(%.2f x recorded %.3f)"
                   % (speedup, floor, NO_REGRESS_FLOOR, reference))
+            raise SystemExit(1)
+        print("no-regress gate: %.3f >= %.3f (%.2f x recorded %.3f)"
+              % (speedup, floor, NO_REGRESS_FLOOR, reference))
     if args.batch >= 16 and speedup < 2.0:
         raise SystemExit(
             "batched verification below the 2x target: %.2fx" % speedup
