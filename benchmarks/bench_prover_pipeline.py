@@ -10,8 +10,8 @@ reading a re-bound wire on later proofs.  The gate requires the warm
 compiled bind+evaluate stage to be at least 2x faster than the LC walk.
 
 A second, proving-key-sized circuit checks end-to-end proof parity: the
-legacy LC path, the compiled serial path, and a ``workers=2`` engine must
-produce byte-identical proofs for the same randomness.
+serial engine and a ``workers=2`` engine must produce byte-identical
+proofs for the same randomness.
 
 Run::
 
@@ -116,22 +116,19 @@ def _seeded_rng(seed):
 
 
 def check_proof_parity(keyed_m, workers, rng=None):
-    """Legacy LC, compiled serial, and compiled parallel proofs must be
-    byte-identical for the same randomness; returns the proof bytes."""
+    """Serial and parallel proofs must be byte-identical for the same
+    randomness; returns the proof bytes."""
     cs = keyed_circuit(keyed_m)
     pk, vk, _ = setup(cs, rng=rng)
     parallel = Engine(EngineConfig(workers=workers, min_parallel_rows=1))
     try:
-        p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-        p_compiled = prove(pk, cs, rng=_fixed_rng())
+        p_serial = prove(pk, cs, rng=_fixed_rng())
         p_parallel = prove(pk, cs, rng=_fixed_rng(), engine=parallel)
-        legacy_bytes = proof_to_bytes(p_legacy)
-        if proof_to_bytes(p_compiled) != legacy_bytes:
-            raise AssertionError("compiled proof differs from legacy LC proof")
-        if proof_to_bytes(p_parallel) != legacy_bytes:
+        serial_bytes = proof_to_bytes(p_serial)
+        if proof_to_bytes(p_parallel) != serial_bytes:
             raise AssertionError("parallel proof differs from serial proof")
-        verify(prepare(vk), p_compiled, cs.public_inputs())
-        return legacy_bytes
+        verify(prepare(vk), p_serial, cs.public_inputs())
+        return serial_bytes
     finally:
         parallel.close()
 
@@ -214,8 +211,7 @@ def run(m, keyed_m, workers, rounds, seed=None):
     print("keyed circuit: m=%d, proof = %d bytes" % (keyed_m, len(proof_bytes)))
     print("  prove, total:               %8.3f s" % prove_s)
     print("  msm + tail (residual):      %8.3f s" % msm_s)
-    print("proofs byte-identical across {legacy LC, compiled, workers=%d}"
-          % workers)
+    print("proofs byte-identical across {serial, workers=%d}" % workers)
     results = {
         "m": compiled.num_constraints,
         "nnz": compiled.a.nnz + compiled.b.nnz + compiled.c.nnz,

@@ -18,12 +18,12 @@ Advertisement (§6) is a pin store: for pinned domains a certificate
 laundering against NOPE-enabled servers.
 
 Repeat connections are served from a :class:`VerificationCache`: a
-successful NOPE verification is remembered under (cache token, domain) —
-the token is the proof envelope's **nullifier** for wire-format
-certificates, or the leaf-certificate fingerprint for legacy/non-NOPE
-chains — for as long as the certificate — and, when OCSP is in play, the
-revocation window — stays valid, so the expensive proof pairing check
-runs once per (cert, domain) instead of once per connection.  Each cache
+successful NOPE verification is remembered under (token, domain) — the
+token is the proof envelope's **nullifier**, and only a leaf with no NOPE
+SAN is looked up under its certificate fingerprint instead — for as long
+as the certificate — and, when OCSP is in play, the revocation window —
+stays valid, so the expensive proof pairing check runs once per
+(cert, domain) instead of once per connection.  Each cache
 entry remembers the fingerprint it was verified under, so a nullifier hit
 from a *different* certificate (an envelope lifted wholesale into a new
 cert) is refused instead of served.  Revocation is never cached: on a hit
@@ -77,8 +77,8 @@ class VerificationReport:
 
 
 def leaf_fingerprint(cert):
-    """SHA-256 over the certificate's DER encoding — the legacy cache key
-    (and every entry's bound certificate identity)."""
+    """SHA-256 over the certificate's DER encoding — the cache key for
+    leaves with no NOPE SAN (and every entry's bound certificate identity)."""
     return sha256(cert.to_der())
 
 
@@ -101,7 +101,7 @@ class VerificationCache:
     """TTL cache of successful NOPE verifications.
 
     Keyed by (token, domain) where the token is the envelope nullifier for
-    wire-format certificates and the leaf fingerprint otherwise; an entry
+    NOPE certificates and the leaf fingerprint otherwise; an entry
     expires at the earliest of the certificate's notAfter, the OCSP
     response's nextUpdate (when revocation was checked at store time), and
     an optional ``max_ttl`` cap.  Only *successful* verifications are
@@ -272,9 +272,7 @@ class NopeClient:
         payload, payload_error = (
             self._extract_payload(chain[0], domain) if chain else (None, None)
         )
-        token = payload.nullifier if payload is not None else None
-        if token is None:
-            token = fingerprint
+        token = payload.nullifier if payload is not None else fingerprint
         if self.verification_cache is not None and chain:
             cached = self._cached_report(
                 token, fingerprint, domain, chain[0], now,
@@ -302,16 +300,20 @@ class NopeClient:
                     "domain %s is pinned to NOPE but presented no proof" % domain
                 )
             return VerificationReport(domain, True, False, False, "no NOPE proof")
-        self._refuse_nullifier_reuse(payload, fingerprint)
-        self._verify_nope_proof(domain, leaf, payload, payload_error)
+        if payload is None:
+            raise ProofError(
+                "malformed NOPE SAN encoding: %s" % payload_error
+            ) from payload_error
+        self._refuse_nullifier_reuse(payload.nullifier, fingerprint)
+        self._verify_nope_proof(domain, leaf, payload)
         self._check_sct_consistency(leaf)
-        self._note_nullifier(payload, fingerprint)
+        self._seen_nullifiers[payload.nullifier] = fingerprint
         if self.pin_store is not None:
             self.pin_store.record_nope_seen(
-                domain, now, nullifier=payload.nullifier if payload else None
+                domain, now, nullifier=payload.nullifier
             )
         report = VerificationReport(domain, True, True, True)
-        if self.verification_cache is not None and token:
+        if self.verification_cache is not None:
             self.verification_cache.store(
                 token, domain, report, leaf, now, ocsp_response,
                 fingerprint=fingerprint,
@@ -326,11 +328,8 @@ class NopeClient:
         except EncodingError as exc:
             return None, exc
 
-    def _refuse_nullifier_reuse(self, payload, fingerprint):
+    def _refuse_nullifier_reuse(self, nullifier, fingerprint):
         """The same envelope under different certificate bytes is reuse."""
-        nullifier = payload.nullifier if payload is not None else None
-        if nullifier is None or fingerprint is None:
-            return
         prior = self._seen_nullifiers.get(nullifier)
         if prior is not None and not hmac.compare_digest(prior, fingerprint):
             NULLIFIER_REJECTED.inc()
@@ -338,10 +337,6 @@ class NopeClient:
                 "NOPE envelope nullifier already bound to a different "
                 "certificate (cross-certificate proof reuse)"
             )
-
-    def _note_nullifier(self, payload, fingerprint):
-        if payload is not None and payload.nullifier is not None and fingerprint:
-            self._seen_nullifiers[payload.nullifier] = fingerprint
 
     def _cached_report(self, token, fingerprint, domain, leaf, now,
                        ocsp_responder, ocsp_response):
@@ -390,27 +385,22 @@ class NopeClient:
             self.profile, depth, managed=payload.managed
         ).id_string()
         env = payload.envelope
-        if env is not None:
-            expected_kind = getattr(self.backend, "kind", None)
-            if expected_kind is not None and env.kind != expected_kind:
-                raise ProofError(
-                    "envelope kind %#x does not match the %r backend"
-                    % (env.kind, getattr(self.backend, "name", "?"))
-                )
-            if not hmac.compare_digest(env.statement, statement_digest(shape_id)):
-                raise ProofError(
-                    "envelope statement digest does not match %s" % shape_id
-                )
+        expected_kind = getattr(self.backend, "kind", None)
+        if expected_kind is not None and env.kind != expected_kind:
+            raise ProofError(
+                "envelope kind %#x does not match the %r backend"
+                % (env.kind, getattr(self.backend, "name", "?"))
+            )
+        if not hmac.compare_digest(env.statement, statement_digest(shape_id)):
+            raise ProofError(
+                "envelope statement digest does not match %s" % shape_id
+            )
         entry = self.statements.get(shape_id)
         if entry is None:
             raise ProofError("no verification key for statement %s" % shape_id)
         return entry
 
-    def _verify_nope_proof(self, domain, leaf, payload, payload_error):
-        if payload is None:
-            raise ProofError(
-                "malformed NOPE SAN encoding: %s" % payload_error
-            ) from payload_error
+    def _verify_nope_proof(self, domain, leaf, payload):
         statement, keys = self._statement_for_payload(domain, payload)
         ca_name = (leaf.issuer.organization or "").encode()
         base_ts = truncate_timestamp(leaf.not_before)
@@ -471,24 +461,23 @@ class NopeClient:
                         "malformed NOPE SAN encoding for %s: %s"
                         % (domain, error)
                     ) from error
-                self._refuse_nullifier_reuse(payload, fingerprint)
+                self._refuse_nullifier_reuse(payload.nullifier, fingerprint)
                 payloads[domain] = payload
             self._check_sct_consistency(leaf)
             self._verify_proof_batch(domains, leaf, payloads)
             reports = {}
             for domain in domains:
                 payload = payloads[domain]
-                self._note_nullifier(payload, fingerprint)
+                self._seen_nullifiers[payload.nullifier] = fingerprint
                 if self.pin_store is not None:
                     self.pin_store.record_nope_seen(
                         domain, now, nullifier=payload.nullifier
                     )
                 report = VerificationReport(domain, True, True, True)
                 reports[domain] = report
-                token = payload.nullifier or fingerprint
                 if self.verification_cache is not None:
                     self.verification_cache.store(
-                        token, domain, report, leaf, now, ocsp_response,
+                        payload.nullifier, domain, report, leaf, now, ocsp_response,
                         fingerprint=fingerprint,
                     )
             return reports

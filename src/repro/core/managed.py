@@ -28,7 +28,7 @@ from .statement import (
 class ManagedNopeProver(NopeProver):
     """A domain owner without KSK access, using the App. A variant."""
 
-    san_metadata = 1
+    managed = True
 
     def __init__(self, profile, hierarchy, domain, backend=None, field=None,
                  engine=None):

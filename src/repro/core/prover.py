@@ -131,9 +131,9 @@ class NopeProver:
                 )
             return self.backend.prove(self.keys, cs), ts
 
-    #: legacy SAN metadata character: 0 = base NOPE, 1 = NOPE-managed.
-    #: Under the envelope wire format this becomes the managed flag bit.
-    san_metadata = 0
+    #: whether this prover proves the NOPE-managed statement (paper App. A);
+    #: sealed into the envelope's managed flag bit
+    managed = False
 
     def seal_envelope(self, proof_bytes):
         """Wrap raw proof bytes in the canonical wire envelope.
@@ -148,7 +148,7 @@ class NopeProver:
             proof_bytes,
             str(self.domain).rstrip("."),
             shape_id=self.shape.id_string(),
-            managed=bool(self.san_metadata),
+            managed=self.managed,
         )
 
     def build_csr(self, tls_private_key, proof_bytes):

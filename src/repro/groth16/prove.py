@@ -9,14 +9,13 @@ generic Pippenger MSM (shared between G1 and G2), cached-twiddle FFTs, and
 the memoized prepared proving key that pre-extracts each CRS query's
 non-identity entries.
 
-The field side is single-pass: each constraint's A/B/C linear combinations
-are evaluated exactly once per proof, with the satisfaction check folded
-into the same pass (the legacy flow evaluated everything twice — once in
-``check_satisfied`` and again here).  By default the evaluation runs on the
-engine's compiled circuit (flat CSR matrices, memoized by structure hash,
-optionally pool-parallel, and incremental across witness re-binds); pass
-``use_compiled=False`` to take the LC-walk path, which produces the same
-evaluations and therefore byte-identical proofs.
+The field side is single-pass: each constraint's A/B/C rows are evaluated
+exactly once per proof, with the satisfaction check folded into the same
+pass.  The evaluation runs on the engine's compiled circuit (flat CSR
+matrices, memoized by structure hash, optionally pool-parallel, and
+incremental across witness re-binds).  :func:`evaluate_constraints` is the
+LC-walk reference the compiled evaluator is tested against; the prover
+never calls it.
 """
 
 import secrets
@@ -58,12 +57,11 @@ def evaluate_constraints(system):
     return a_evals, b_evals, c_evals
 
 
-def compute_h_coefficients(structure, engine=None, evals=None):
+def compute_h_coefficients(structure, engine=None, *, evals):
     """Coefficients of h(X) = (A(X)B(X) - C(X)) / Z(X) on the QAP domain.
 
-    ``evals`` supplies precomputed ``(a_evals, b_evals, c_evals)`` (length
-    ``m``) from the single evaluation pass; without it, the constraints are
-    walked here (kept for direct callers of this function).
+    ``evals`` is the ``(a_evals, b_evals, c_evals)`` triple (length ``m``
+    each) from the single evaluation pass.
     """
     eng = get_engine(engine)
     m = structure.constraint_count
@@ -75,19 +73,8 @@ def compute_h_coefficients(structure, engine=None, evals=None):
 def _h_coefficients(structure, eng, d, evals):
     m = structure.constraint_count
     omega = domain_root(d)
-    a_evals = [0] * d
-    b_evals = [0] * d
-    c_evals = [0] * d
-    if evals is None:
-        values = structure.values
-        for j, (a, b, c, _) in enumerate(structure.constraints):
-            a_evals[j] = a.evaluate(values, R)
-            b_evals[j] = b.evaluate(values, R)
-            c_evals[j] = c.evaluate(values, R)
-    else:
-        a_evals[:m] = evals[0]
-        b_evals[:m] = evals[1]
-        c_evals[:m] = evals[2]
+    pad = [0] * (d - m)
+    a_evals, b_evals, c_evals = (list(e) + pad for e in evals)
     a_coset, b_coset, c_coset = eng.coset_extend_many(
         [a_evals, b_evals, c_evals], omega
     )
@@ -105,15 +92,12 @@ def _h_coefficients(structure, eng, d, evals):
     return h_coeffs[: d - 1]
 
 
-def prove(pk, system, rng=None, engine=None, use_compiled=True):
+def prove(pk, system, rng=None, engine=None):
     """Produce a proof that ``system``'s assignment satisfies its R1CS.
 
     ``system`` is a fully synthesized ConstraintSystem (witness included).
     ``engine`` selects the compute engine (serial default; a ``workers=N``
-    engine produces byte-identical proofs faster).  ``use_compiled``
-    selects the CSR evaluation path (default) or the legacy LC walk; both
-    evaluate every constraint at most once and yield identical proofs for
-    the same randomness.
+    engine produces byte-identical proofs faster).
     """
     if system.counting_only:
         raise ProvingError("cannot prove a counting-only system")
@@ -126,10 +110,7 @@ def prove(pk, system, rng=None, engine=None, use_compiled=True):
         if num_vars != len(pk.a_query):
             raise ProvingError("proving key does not match this statement")
         with _span("prove.evaluate"):
-            if use_compiled:
-                _, evals = eng.evaluate_r1cs(system)
-            else:
-                evals = evaluate_constraints(system)
+            _, evals = eng.evaluate_r1cs(system)
         rand = rng or (lambda: secrets.randbelow(R))
         r = rand()
         s = rand()

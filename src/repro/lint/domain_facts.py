@@ -138,14 +138,9 @@ FACTS = {
     "g1_from_bytes": Sig((WIRE,), OPAQUE),
     "g2_to_bytes": Sig((TOP,), WIRE),
     "g2_from_bytes": Sig((WIRE,), OPAQUE),
-    "encode_proof_chars": Sig((TOP,), WIRE),
-    "decode_proof_chars": Sig(None, OPAQUE),
-    "encode_proof_sans": Sig((TOP,), WIRE),
-    "decode_proof_sans": Sig(None, OPAQUE),
     "encode_payload_chars": Sig((TOP,), WIRE),
     "decode_payload_chars": Sig(None, OPAQUE),
     "encode_payload_sans": Sig((TOP,), WIRE),
-    "decode_payload_sans": Sig(None, OPAQUE),
     # sealing consumes raw body bytes and yields sanctioned objects
     "seal": Sig((TOP, TOP, WIRE), OPAQUE),
     "encode_envelope": Sig((TOP,), OPAQUE),
@@ -153,7 +148,6 @@ FACTS = {
     "compute_nullifier": Sig(None, NULLIFIER),
     "extract_proof": Sig(None, OPAQUE),
     "envelope_to_sans": Sig(None, OPAQUE),
-    "envelope_from_sans": Sig(None, OPAQUE),
     "statement_digest": Sig(None, OPAQUE),
 }
 
@@ -182,10 +176,8 @@ MODULUS_N_ATTRS = frozenset({"order"})
 WIRE_PRIMITIVES = frozenset({
     "proof_to_bytes", "proof_from_bytes",
     "g1_to_bytes", "g1_from_bytes", "g2_to_bytes", "g2_from_bytes",
-    "encode_proof_chars", "decode_proof_chars",
-    "encode_proof_sans", "decode_proof_sans",
     "encode_payload_chars", "decode_payload_chars",
-    "encode_payload_sans", "decode_payload_sans",
+    "encode_payload_sans",
 })
 
 #: layers allowed to touch wire-domain values directly

@@ -35,7 +35,6 @@ from .registry import (
 )
 from .transport import (
     WirePayload,
-    envelope_from_sans,
     envelope_to_sans,
     extract_proof,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "compute_nullifier",
     "decode_envelope",
     "encode_envelope",
-    "envelope_from_sans",
     "envelope_size",
     "envelope_to_sans",
     "extract_proof",

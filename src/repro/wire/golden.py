@@ -31,7 +31,7 @@ from .transport import envelope_to_sans
 
 #: bump when the wire format (envelope layout, SAN layout, checksum, or
 #: nullifier derivation) intentionally changes, and regenerate the file
-GOLDEN_FORMAT_VERSION = 1
+GOLDEN_FORMAT_VERSION = 2
 
 _DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "golden_vectors.json")
 
@@ -86,21 +86,6 @@ def generate_vectors():
             "nullifier": env.nullifier.hex(),
             "sans": envelope_to_sans(env),
         })
-    # legacy version-0 SAN payload: raw proof + metadata character, kept
-    # decodable forever
-    from ..x509.san import encode_proof_chars, encode_proof_sans
-
-    legacy_proof = _det_bytes(128, b"legacy-v0")
-    vectors.append({
-        "name": "legacy-san-v0",
-        "kind": None,
-        "version": 0,
-        "domain": "example.com",
-        "proof": legacy_proof.hex(),
-        "metadata": 1,
-        "chars": encode_proof_chars(legacy_proof, metadata=1),
-        "sans": encode_proof_sans(legacy_proof, "example.com", metadata=1),
-    })
     return vectors
 
 
@@ -160,7 +145,6 @@ def roundtrip_golden(path=_DEFAULT_PATH):
     from ..errors import EncodingError
     from .envelope import decode_envelope
     from .transport import extract_proof
-    from ..x509.san import decode_proof_sans
 
     problems = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -168,11 +152,6 @@ def roundtrip_golden(path=_DEFAULT_PATH):
     for vec in stored.get("vectors", ()):
         name = vec["name"]
         try:
-            if vec.get("kind") is None:
-                proof, metadata = decode_proof_sans(vec["sans"], vec["domain"])
-                if proof.hex() != vec["proof"] or metadata != vec["metadata"]:
-                    problems.append("vector %r legacy decode mismatch" % name)
-                continue
             env = decode_envelope(bytes.fromhex(vec["envelope"]), vec["domain"])
             if env.nullifier.hex() != vec["nullifier"]:
                 problems.append("vector %r nullifier mismatch" % name)

@@ -1,30 +1,26 @@
 """NOPE payload <-> Subject Alternative Name encoding (paper Appendix D).
 
-A binary payload is base-37 encoded into hostname-safe characters
-(alphabet a-z, 0-9, '-'), wrapped with a version character and a checksum
-character, zero-padded to a whole number of 50-character labels, and
-attached under an ``n0pe.`` prefix::
+The SAN payload is the 197-byte canonical proof envelope from
+:mod:`repro.wire` (kind tag, body version, flags, statement digest, body,
+nullifier).  It is base-37 encoded into hostname-safe characters
+(alphabet a-z, 0-9, '-'), wrapped with a version character and a
+position-weighted checksum character, zero-padded to a whole number of
+50-character labels (350 characters in 7 labels), and attached under an
+``n0pe.`` prefix::
 
     n0pe.<label>...<label>.<domain>
 
-For long domains (or long payloads) the labels are spread across multiple
-SANs whose prefixes count up (``n0pe.``, ``n1pe.``, ...) to fix the order.
+For long domains the labels are spread across multiple SANs whose
+prefixes count up (``n0pe.``, ``n1pe.``, ...) to fix the order.
 
-Two SAN payload versions exist, selected by the leading version character:
-
-* **version 0** (legacy): a raw 128-byte proof plus a metadata character
-  (0 = base NOPE, 1 = NOPE-managed) — 200 characters in 4 labels, guarded
-  by the original position-blind ``sum mod 37`` checksum.  Kept so that
-  historical vectors still decode.
-* **version 1**: the 197-byte canonical proof envelope from
-  :mod:`repro.wire` (kind tag, body version, flags, statement digest,
-  body, nullifier) — 350 characters in 7 labels.  The old metadata
-  character is gone (the envelope's flags/version fields carry it), and
-  the checksum is position-weighted so transposed characters are caught.
+There is one payload version (``b``, version 1).  The paper's layout — a
+raw 128-byte proof in 197 characters plus a metadata character — carried
+no nullifier, so it is not decoded: a leading version character other
+than ``b`` is rejected.
 
 Decoding is strict: every label between the ``nXpe`` prefix and the
-domain must be *exactly* 50 base-37 characters, and the total label count
-must match the version's layout.  A NOPE SAN belonging to a subdomain
+domain must be *exactly* 50 base-37 characters, and the total length must
+match the layout.  A NOPE SAN belonging to a subdomain
 (``n0pe.<...>.sub.example.com``) therefore can never be absorbed into a
 decode for the parent (``example.com``) — its trailing ``sub`` label has
 the wrong length — which also makes multi-domain certificates (one SAN
@@ -37,22 +33,14 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789-"
 BASE = len(ALPHABET)  # 37
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 
-PROOF_BYTES = 128
-#: ceil(log_37(2^1024)) — matches the paper's 197
-PROOF_CHARS = 197
-#: version 0 layout: version + metadata + 197 payload chars + checksum
-TOTAL_CHARS = PROOF_CHARS + 3
 LABEL_LEN = 50
-NUM_LABELS = TOTAL_CHARS // LABEL_LEN  # 4
 
 #: maximum total SAN length (RFC 1035 name limit, presented form)
 MAX_SAN_LENGTH = 253
 
-#: SAN payload versions
-SAN_VERSION_LEGACY = 0
-SAN_VERSION_ENVELOPE = 1
-
-VERSION_CHAR = ALPHABET[SAN_VERSION_LEGACY]
+#: the SAN payload version, carried as its first character
+SAN_VERSION = 1
+_VERSION_CHAR = ALPHABET[SAN_VERSION]
 
 
 def chars_for_bytes(n):
@@ -64,33 +52,16 @@ def chars_for_bytes(n):
     return k
 
 
-class _SanLayout:
-    """One SAN payload version's geometry and checksum."""
-
-    __slots__ = ("version", "payload_bytes", "payload_chars", "has_metadata",
-                 "padding_chars", "total_chars", "num_labels", "checksum")
-
-    def __init__(self, version, payload_bytes, has_metadata, checksum):
-        self.version = version
-        self.payload_bytes = payload_bytes
-        self.payload_chars = chars_for_bytes(payload_bytes)
-        self.has_metadata = has_metadata
-        # version + [metadata] + payload + padding + checksum, padded so
-        # the total divides into whole 50-char labels (strict decoding
-        # counts labels, so no trailing short label may exist)
-        fixed = 2 + (1 if has_metadata else 0) + self.payload_chars
-        self.padding_chars = -fixed % LABEL_LEN
-        self.total_chars = fixed + self.padding_chars
-        self.num_labels = self.total_chars // LABEL_LEN
-        self.checksum = checksum
+#: one proof envelope carrying a 128-byte body (repro.wire.envelope_size)
+PAYLOAD_BYTES = 197
+PAYLOAD_CHARS = chars_for_bytes(PAYLOAD_BYTES)  # 303
+#: version + payload + padding + checksum fills whole labels, since strict
+#: decoding counts labels and no trailing short label may exist
+PADDING_CHARS = -(PAYLOAD_CHARS + 2) % LABEL_LEN  # 45
+TOTAL_CHARS = PAYLOAD_CHARS + 2 + PADDING_CHARS  # 350: 7 labels
 
 
-def _checksum_v0(chars):
-    """Legacy position-blind checksum (misses all transpositions)."""
-    return ALPHABET[sum(_CHAR_INDEX[c] for c in chars) % BASE]
-
-
-def _checksum_weighted(chars):
+def _checksum(chars):
     """Position-weighted checksum: weight (i mod 36) + 1 is never zero mod
     37, so any transposition of unequal characters fewer than 36 positions
     apart changes the sum."""
@@ -98,19 +69,6 @@ def _checksum_weighted(chars):
     for i, c in enumerate(chars):
         total += ((i % 36) + 1) * _CHAR_INDEX[c]
     return ALPHABET[total % BASE]
-
-
-#: the version-character index selects the layout
-SAN_LAYOUTS = {
-    SAN_VERSION_LEGACY: _SanLayout(
-        SAN_VERSION_LEGACY, PROOF_BYTES, True, _checksum_v0
-    ),
-    SAN_VERSION_ENVELOPE: _SanLayout(
-        SAN_VERSION_ENVELOPE, 197, False, _checksum_weighted
-    ),
-}
-
-assert SAN_LAYOUTS[SAN_VERSION_LEGACY].total_chars == TOTAL_CHARS
 
 
 def _prefix(index):
@@ -137,78 +95,42 @@ def _decode_base37(chars, num_bytes):
     return value.to_bytes(num_bytes, "big")
 
 
-def encode_payload_chars(payload, version, metadata=0):
-    """Wrap a binary payload in one version's character layout."""
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
-        raise EncodingError("unknown NOPE SAN version %d" % version)
-    if len(payload) != layout.payload_bytes:
+def encode_payload_chars(payload):
+    """Wrap a binary payload in the SAN character layout."""
+    if len(payload) != PAYLOAD_BYTES:
         raise EncodingError(
-            "version %d payload must be %d bytes, got %d"
-            % (version, layout.payload_bytes, len(payload))
+            "NOPE SAN payload must be %d bytes, got %d"
+            % (PAYLOAD_BYTES, len(payload))
         )
-    body = ALPHABET[version]
-    if layout.has_metadata:
-        if not 0 <= metadata < BASE:
-            raise EncodingError(
-                "metadata %r outside [0, %d]" % (metadata, BASE - 1)
-            )
-        body += ALPHABET[metadata]
-    body += _encode_base37(payload, layout.payload_chars)
-    body += ALPHABET[0] * layout.padding_chars
-    return body + layout.checksum(body)
+    body = (
+        _VERSION_CHAR
+        + _encode_base37(payload, PAYLOAD_CHARS)
+        + ALPHABET[0] * PADDING_CHARS
+    )
+    return body + _checksum(body)
 
 
 def decode_payload_chars(chars):
-    """Inverse of :func:`encode_payload_chars`.
-
-    Returns ``(version, payload_bytes, metadata)`` — metadata is None for
-    versions without the legacy metadata character.
-    """
+    """Inverse of :func:`encode_payload_chars`; returns the payload bytes."""
     for c in chars:
         if c not in _CHAR_INDEX:
             raise EncodingError("invalid base-37 character %r" % c)
     if not chars:
         raise EncodingError("empty NOPE SAN payload")
-    version = _CHAR_INDEX[chars[0]]
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
+    if chars[0] != _VERSION_CHAR:
         raise EncodingError("unsupported NOPE SAN version %r" % chars[0])
-    if len(chars) != layout.total_chars:
+    if len(chars) != TOTAL_CHARS:
         raise EncodingError(
-            "version %d payload must be %d characters, got %d"
-            % (version, layout.total_chars, len(chars))
+            "NOPE SAN payload must be %d characters, got %d"
+            % (TOTAL_CHARS, len(chars))
         )
     body, check = chars[:-1], chars[-1]
-    if layout.checksum(body) != check:
+    if _checksum(body) != check:
         raise EncodingError("NOPE SAN checksum mismatch")
-    pos = 1
-    metadata = None
-    if layout.has_metadata:
-        metadata = _CHAR_INDEX[chars[pos]]
-        pos += 1
-    payload_chars = chars[pos:pos + layout.payload_chars]
-    pos += layout.payload_chars
-    if any(c != ALPHABET[0] for c in chars[pos:-1]):
+    end = 1 + PAYLOAD_CHARS
+    if any(c != ALPHABET[0] for c in chars[end:-1]):
         raise EncodingError("nonzero padding in NOPE SAN payload")
-    return version, _decode_base37(payload_chars, layout.payload_bytes), metadata
-
-
-def encode_proof_chars(proof, metadata=0):
-    """Legacy (version 0) base-37 encoding of a raw 128-byte proof."""
-    if len(proof) != PROOF_BYTES:
-        raise EncodingError("proof must be %d bytes" % PROOF_BYTES)
-    return encode_payload_chars(proof, SAN_VERSION_LEGACY, metadata)
-
-
-def decode_proof_chars(chars):
-    """Inverse of :func:`encode_proof_chars`; returns (proof, metadata)."""
-    version, payload, metadata = decode_payload_chars(chars)
-    if version != SAN_VERSION_LEGACY:
-        raise EncodingError(
-            "expected a version 0 proof payload, got version %d" % version
-        )
-    return payload, metadata
+    return _decode_base37(chars[1:end], PAYLOAD_BYTES)
 
 
 def _labels_to_sans(labels, domain):
@@ -230,19 +152,14 @@ def _labels_to_sans(labels, domain):
     return sans
 
 
-def encode_payload_sans(payload, domain, version, metadata=0):
+def encode_payload_sans(payload, domain):
     """Encode a payload as one or more SAN hostnames for ``domain``."""
     domain = domain.rstrip(".")
-    chars = encode_payload_chars(payload, version, metadata)
+    chars = encode_payload_chars(payload)
     labels = [
         chars[i : i + LABEL_LEN] for i in range(0, len(chars), LABEL_LEN)
     ]
     return _labels_to_sans(labels, domain)
-
-
-def encode_proof_sans(proof, domain, metadata=0):
-    """Legacy (version 0): encode a raw proof as SAN hostnames."""
-    return encode_payload_sans(proof, domain, SAN_VERSION_LEGACY, metadata)
 
 
 def is_nope_san(name):
@@ -262,10 +179,13 @@ def _collect_payload_chars(san_names, domain):
     ``n<k>pe.<50-char base-37 label>...<domain>`` — every intermediate
     label must be exactly :data:`LABEL_LEN` base-37 characters, so NOPE
     SANs bound to a *subdomain* are skipped rather than absorbed.
+    Returns ``(chars, names)``: the characters in fragment order and the
+    SAN names they came from.
     """
     domain = domain.rstrip(".")
     suffix = "." + domain
     pieces = {}
+    names = []
     for name in san_names:
         if not is_nope_san(name) or not name.endswith(suffix):
             continue
@@ -281,6 +201,7 @@ def _collect_payload_chars(san_names, domain):
         if order in pieces:
             raise EncodingError("duplicate NOPE SAN fragment %d" % order)
         pieces[order] = labels
+        names.append(name)
     if not pieces:
         raise EncodingError("no NOPE SAN entries for %s" % domain)
     labels = []
@@ -288,37 +209,4 @@ def _collect_payload_chars(san_names, domain):
         if order not in pieces:
             raise EncodingError("missing NOPE SAN fragment %d" % order)
         labels.extend(pieces[order])
-    chars = "".join(labels)
-    version = _CHAR_INDEX.get(chars[0])
-    layout = SAN_LAYOUTS.get(version)
-    if layout is None:
-        raise EncodingError("unsupported NOPE SAN version %r" % chars[0])
-    if len(labels) != layout.num_labels:
-        raise EncodingError(
-            "version %d NOPE SAN set needs %d labels, found %d"
-            % (version, layout.num_labels, len(labels))
-        )
-    return chars
-
-
-def decode_payload_sans(san_names, domain):
-    """Extract any version's payload from a certificate's SAN list.
-
-    Returns ``(version, payload_bytes, metadata)``; raises EncodingError
-    if no complete, consistent NOPE encoding for ``domain`` is present.
-    """
-    return decode_payload_chars(_collect_payload_chars(san_names, domain))
-
-
-def decode_proof_sans(san_names, domain):
-    """Legacy (version 0) proof extraction; returns (proof, metadata).
-
-    Version 1 SAN sets carry a proof *envelope*; decode those through
-    :func:`repro.wire.extract_proof` instead.
-    """
-    version, payload, metadata = decode_payload_sans(san_names, domain)
-    if version != SAN_VERSION_LEGACY:
-        raise EncodingError(
-            "version %d NOPE SANs carry an envelope; use repro.wire" % version
-        )
-    return payload, metadata
+    return "".join(labels), names

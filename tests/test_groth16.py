@@ -155,23 +155,22 @@ def _fixed_rng():
 class TestCompiledProver:
     def test_proofs_byte_identical_across_evaluation_paths(self, keys):
         from repro.engine import Engine, EngineConfig
+        from repro.groth16 import evaluate_constraints
 
         cs, pk, vk, _ = keys
+        _, evals = Engine().evaluate_r1cs(cs)
+        assert tuple(map(list, evals)) == tuple(evaluate_constraints(cs))
         parallel = Engine(EngineConfig(workers=2, min_parallel_rows=1))
         try:
-            p_legacy = prove(pk, cs, rng=_fixed_rng(), use_compiled=False)
-            p_compiled = prove(pk, cs, rng=_fixed_rng())
+            p_serial = prove(pk, cs, rng=_fixed_rng())
             p_parallel = prove(pk, cs, rng=_fixed_rng(), engine=parallel)
-            assert (
-                proof_to_bytes(p_legacy)
-                == proof_to_bytes(p_compiled)
-                == proof_to_bytes(p_parallel)
-            )
-            verify(prepare(vk), p_compiled, cs.public_inputs())
+            assert proof_to_bytes(p_serial) == proof_to_bytes(p_parallel)
+            verify(prepare(vk), p_serial, cs.public_inputs())
         finally:
             parallel.close()
 
     def test_each_constraint_evaluated_exactly_once(self, keys, monkeypatch):
+        from repro.groth16 import evaluate_constraints
         from repro.r1cs import LinearCombination
 
         cs, pk, _, _ = keys
@@ -183,25 +182,28 @@ class TestCompiledProver:
             return orig(self, values, modulus)
 
         monkeypatch.setattr(LinearCombination, "evaluate", counting)
-        # legacy path: one walk per LC — 3 per constraint, no double pass
-        prove(pk, cs, use_compiled=False)
+        # the LC-walk reference: one walk per LC, 3 per constraint
+        evaluate_constraints(cs)
         assert calls[0] == 3 * cs.num_constraints
-        # compiled path: the CSR evaluator never touches the LCs at all
+        # the prover's CSR evaluator never touches the LCs at all
         calls[0] = 0
         prove(pk, cs)
         assert calls[0] == 0
 
     def test_unsatisfied_error_identical_across_paths(self, keys):
         from repro.errors import UnsatisfiedError
+        from repro.groth16 import evaluate_constraints
 
         _, pk, _, _ = keys
         with pytest.raises(UnsatisfiedError) as e_check:
             cubic_system(3, x_val=999).check_satisfied()
-        with pytest.raises(UnsatisfiedError) as e_legacy:
-            prove(pk, cubic_system(3, x_val=999), use_compiled=False)
-        with pytest.raises(UnsatisfiedError) as e_compiled:
+        with pytest.raises(UnsatisfiedError) as e_reference:
+            evaluate_constraints(cubic_system(3, x_val=999))
+        with pytest.raises(UnsatisfiedError) as e_prove:
             prove(pk, cubic_system(3, x_val=999))
-        assert str(e_check.value) == str(e_legacy.value) == str(e_compiled.value)
+        assert (
+            str(e_check.value) == str(e_reference.value) == str(e_prove.value)
+        )
 
 
 class TestMalleability:

@@ -13,7 +13,13 @@ from repro.dns.records import DnskeyData, DsData, ResourceRecord, RrsigData, Txt
 from repro.ec import TOY29
 from repro.groth16 import g1_from_bytes, g1_to_bytes
 from repro.x509.asn1 import DerReader, encode_integer, encode_octet_string, encode_sequence, read_tlv
-from repro.x509.san import decode_proof_chars, decode_proof_sans, encode_proof_chars, encode_proof_sans
+from repro.x509.san import (
+    PAYLOAD_BYTES,
+    _collect_payload_chars,
+    decode_payload_chars,
+    encode_payload_chars,
+    encode_payload_sans,
+)
 
 label_st = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12
@@ -38,20 +44,18 @@ def test_canonical_ordering_total(labels_a, labels_b):
     assert (a < b) + (b < a) + (a == b) == 1
 
 
-@given(st.binary(min_size=128, max_size=128), st.integers(min_value=0, max_value=36))
+@given(st.binary(min_size=PAYLOAD_BYTES, max_size=PAYLOAD_BYTES))
 @settings(max_examples=30, deadline=None)
-def test_san_chars_roundtrip(proof, metadata):
-    chars = encode_proof_chars(proof, metadata)
-    decoded, meta = decode_proof_chars(chars)
-    assert decoded == proof and meta == metadata
+def test_san_chars_roundtrip(payload):
+    assert decode_payload_chars(encode_payload_chars(payload)) == payload
 
 
-@given(st.binary(min_size=128, max_size=128))
+@given(st.binary(min_size=PAYLOAD_BYTES, max_size=PAYLOAD_BYTES))
 @settings(max_examples=20, deadline=None)
-def test_san_names_roundtrip(proof):
-    sans = encode_proof_sans(proof, "prop.example")
-    decoded, _ = decode_proof_sans(sans, "prop.example")
-    assert decoded == proof
+def test_san_names_roundtrip(payload):
+    sans = encode_payload_sans(payload, "prop.example")
+    chars, _ = _collect_payload_chars(sans, "prop.example")
+    assert decode_payload_chars(chars) == payload
     for san in sans:
         assert len(san) <= 253
         for piece in san.split("."):
@@ -138,7 +142,7 @@ def test_rr_wire_roundtrip(rdata, ttl):
 def test_distinct_proofs_encode_distinctly():
     seen = set()
     for _ in range(50):
-        proof = secrets.token_bytes(128)
-        chars = encode_proof_chars(proof)
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        chars = encode_payload_chars(payload)
         assert chars not in seen
         seen.add(chars)

@@ -47,7 +47,6 @@ from repro.wire import (
     compute_nullifier,
     decode_envelope,
     encode_envelope,
-    envelope_from_sans,
     envelope_size,
     envelope_to_sans,
     extract_proof,
@@ -58,12 +57,12 @@ from repro.wire import (
     version_for_profile,
 )
 from repro.x509.san import (
-    SAN_VERSION_ENVELOPE,
+    ALPHABET,
+    PADDING_CHARS,
+    _checksum,
     decode_payload_chars,
     encode_payload_chars,
     encode_payload_sans,
-    encode_proof_chars,
-    encode_proof_sans,
 )
 
 
@@ -289,10 +288,9 @@ class TestSanTransport:
         sans = envelope_to_sans(env)
         assert len(sans) >= 1 and all(s.endswith(".example.com") for s in sans)
         payload = extract_proof(sans, "example.com")
-        assert payload.san_version == SAN_VERSION_ENVELOPE
         assert payload.body == env.body
         assert payload.nullifier == env.nullifier
-        assert envelope_from_sans(sans, "example.com") == env
+        assert payload.envelope == env
 
     def test_emit_under_wrong_domain_refused(self):
         env = _sim_envelope("alpha.example")
@@ -303,9 +301,7 @@ class TestSanTransport:
         # re-labeling alpha's envelope bytes under beta's SAN set is the
         # cross-domain lift; the nullifier catches it at decode
         env = _sim_envelope("alpha.example")
-        lifted = encode_payload_sans(
-            encode_envelope(env), "beta.example", SAN_VERSION_ENVELOPE
-        )
+        lifted = encode_payload_sans(encode_envelope(env), "beta.example")
         with pytest.raises(NullifierError):
             extract_proof(lifted, "beta.example")
 
@@ -318,11 +314,6 @@ class TestSanTransport:
         with pytest.raises(EncodingError, match="no NOPE SAN entries"):
             extract_proof(sans, "example.com")
         assert extract_proof(sans, "sub.example.com").body == env.body
-
-    def test_legacy_subdomain_sans_not_absorbed(self):
-        sans = encode_proof_sans(b"\x05" * 128, "sub.example.com")
-        with pytest.raises(EncodingError, match="no NOPE SAN entries"):
-            extract_proof(sans, "example.com")
 
     def test_multi_domain_san_sets_disjoint(self):
         env_a = _sim_envelope("alpha.example", body=b"\x01" * 128)
@@ -340,25 +331,8 @@ class TestSanTransport:
         with pytest.raises(EncodingError, match="duplicate"):
             extract_proof(sans + [sans[-1]], "example.com")
 
-    def test_legacy_v0_still_decodes(self):
-        proof = b"\x37" * 128
-        sans = encode_proof_sans(proof, "example.com", metadata=1)
-        payload = extract_proof(sans, "example.com")
-        assert payload.san_version == 0
-        assert payload.body == proof
-        assert payload.managed and payload.nullifier is None
-        with pytest.raises(WireError, match="legacy"):
-            envelope_from_sans(sans, "example.com")
-
-    def test_metadata_out_of_range_raises(self):
-        for bad in (-1, 37, 255):
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_chars(b"\x00" * 128, metadata=bad)
-
     def test_weighted_checksum_catches_transposition(self):
-        chars = encode_payload_chars(
-            encode_envelope(_sim_envelope()), SAN_VERSION_ENVELOPE
-        )
+        chars = encode_payload_chars(encode_envelope(_sim_envelope()))
         # find adjacent unequal payload characters and swap them
         for i in range(1, len(chars) - 2):
             if chars[i] != chars[i + 1]:
@@ -369,16 +343,11 @@ class TestSanTransport:
             decode_payload_chars(swapped)
 
     def test_nonzero_padding_rejected(self):
-        from repro.x509.san import SAN_LAYOUTS
-
-        layout = SAN_LAYOUTS[SAN_VERSION_ENVELOPE]
-        assert layout.padding_chars > 0
-        chars = encode_payload_chars(
-            encode_envelope(_sim_envelope()), SAN_VERSION_ENVELOPE
-        )
+        assert PADDING_CHARS > 0
+        chars = encode_payload_chars(encode_envelope(_sim_envelope()))
         body = chars[:-1]
         tampered = body[:-1] + "b"  # last padding char
-        tampered += layout.checksum(tampered)  # fix the checksum up
+        tampered += _checksum(tampered)  # fix the checksum up
         with pytest.raises(EncodingError, match="padding"):
             decode_payload_chars(tampered)
 
@@ -471,6 +440,22 @@ def make_client(world, cache=None):
     return client, backend
 
 
+def _legacy_v0_sans(body, domain, metadata=0):
+    """The retired version-0 SAN layout, rebuilt here only to attack the
+    decoder: version char ``a``, a metadata char, 197 base-37 chars of a
+    raw 128-byte proof and a position-blind sum-mod-37 checksum, in four
+    50-char labels."""
+    value = int.from_bytes(body, "big")
+    digits = []
+    for _ in range(197):
+        value, rem = divmod(value, 37)
+        digits.append(ALPHABET[rem])
+    chars = "a" + ALPHABET[metadata] + "".join(reversed(digits))
+    chars += ALPHABET[sum(ALPHABET.index(c) for c in chars) % 37]
+    labels = [chars[i:i + 50] for i in range(0, len(chars), 50)]
+    return [".".join(["n0pe"] + labels + [domain])]
+
+
 class TestEndToEnd:
     def test_multi_proof_certificate_verifies_batched(self, world):
         tls_key = EcdsaPrivateKey.generate(TOY29)
@@ -507,7 +492,7 @@ class TestEndToEnd:
         tls_key = EcdsaPrivateKey.generate(TOY29)
         env = _sim_envelope("gamma.example")
         sans = ["alpha.example"] + encode_payload_sans(
-            encode_envelope(env), "alpha.example", SAN_VERSION_ENVELOPE
+            encode_envelope(env), "alpha.example"
         )
         from repro.x509.cert import SubjectPublicKeyInfo
 
@@ -547,6 +532,38 @@ class TestEndToEnd:
             client2.verify_server("beta.example", chain_b, now)
         assert backend2.verify_calls == 1  # never re-verified for chain_b
 
+    def test_v0_downgrade_refused(self, world):
+        # a real envelope's proof body re-encoded in the retired v0 layout
+        # carries no nullifier; neither the CA nor the client may accept it
+        clock = world["clock"]
+        tls_key = EcdsaPrivateKey.generate(TOY29)
+        csr, envelopes = build_multi_domain_csr(
+            [world["p1"]], tls_key, world["ca"].org_name, clock.now()
+        )
+        chain_a = world["ca"].issue("alpha.example", csr.spki, csr.san_names())
+        sans = ["alpha.example"] + _legacy_v0_sans(
+            envelopes[0].body, "alpha.example"
+        )
+        assert extract_proof(csr.san_names(), "alpha.example").body == (
+            envelopes[0].body
+        )
+        with pytest.raises(ProtocolError, match="decode for no requested"):
+            world["ca"].issue("alpha.example", csr.spki, sans)
+        world["ca"].compromised = True
+        try:
+            chain_b = world["ca"].issue_rogue("alpha.example", csr.spki, sans)
+        finally:
+            world["ca"].compromised = False
+        now = clock.now()
+        client, _ = make_client(world)
+        assert client.verify_server("alpha.example", chain_a, now).nope_ok
+        with pytest.raises(ProofError, match="malformed"):
+            client.verify_server("alpha.example", chain_b, now)
+        client2, _ = make_client(world, VerificationCache())
+        assert client2.verify_server("alpha.example", chain_a, now).nope_ok
+        with pytest.raises(ProofError, match="malformed"):
+            client2.verify_server("alpha.example", chain_b, now)
+
     def test_envelope_lifted_to_other_domain_refused(self, world):
         clock = world["clock"]
         tls_key = EcdsaPrivateKey.generate(TOY29)
@@ -556,8 +573,7 @@ class TestEndToEnd:
         # rebuild alpha's envelope bytes as SANs for beta.example and have
         # a compromised CA sign the franken-cert
         lifted = encode_payload_sans(
-            encode_envelope(envelopes[0]), "beta.example",
-            SAN_VERSION_ENVELOPE,
+            encode_envelope(envelopes[0]), "beta.example"
         )
         from repro.x509.cert import SubjectPublicKeyInfo
 

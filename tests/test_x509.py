@@ -13,15 +13,13 @@ from repro.x509 import (
     Certificate,
     CertificateRequest,
     Name,
-    PROOF_BYTES,
+    PAYLOAD_BYTES,
     SubjectPublicKeyInfo,
     aia_ocsp_extension,
     basic_constraints_extension,
     chain_wire_size,
-    decode_proof_chars,
-    decode_proof_sans,
-    encode_proof_chars,
-    encode_proof_sans,
+    chars_for_bytes,
+    encode_payload_sans,
     hostname_matches,
     is_nope_san,
     key_usage_extension,
@@ -41,6 +39,11 @@ from repro.x509.asn1 import (
     encode_sequence,
     encode_utctime,
     read_tlv,
+)
+from repro.x509.san import (
+    _collect_payload_chars,
+    decode_payload_chars,
+    encode_payload_chars,
 )
 
 
@@ -179,73 +182,72 @@ class TestCsr:
             csr.verify()
 
 
+def _decode_sans(sans, domain):
+    chars, _ = _collect_payload_chars(sans, domain)
+    return decode_payload_chars(chars)
+
+
 class TestSanEncoding:
     def test_char_roundtrip(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        chars = encode_proof_chars(proof, metadata=7)
-        assert len(chars) == 200
-        decoded, metadata = decode_proof_chars(chars)
-        assert decoded == proof
-        assert metadata == 7
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        chars = encode_payload_chars(payload)
+        assert len(chars) == 350
+        assert decode_payload_chars(chars) == payload
 
     def test_paper_character_budget(self):
-        # 197 base-37 chars hold any 1024-bit value (paper App. D)
-        proof = b"\xff" * PROOF_BYTES
-        chars = encode_proof_chars(proof)
-        assert len(chars) == 197 + 3
+        # 197 base-37 chars hold any 1024-bit proof (paper App. D)
+        assert chars_for_bytes(128) == 197
+        chars = encode_payload_chars(b"\xff" * PAYLOAD_BYTES)
+        assert len(chars) == 350
 
     def test_checksum_detects_corruption(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        chars = encode_proof_chars(proof)
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        chars = encode_payload_chars(payload)
         bad = ("a" if chars[5] != "a" else "b")
         corrupted = chars[:5] + bad + chars[6:]
         with pytest.raises(EncodingError):
-            decode_proof_chars(corrupted)
+            decode_payload_chars(corrupted)
+        # any version character but v1's is refused
+        with pytest.raises(EncodingError, match="version"):
+            decode_payload_chars("a" + chars[1:])
 
     def test_san_roundtrip_short_domain(self):
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sans = encode_proof_sans(proof, "example.com")
-        assert len(sans) == 1
-        assert sans[0].startswith("n0pe.")
-        assert sans[0].endswith(".example.com")
-        assert len(sans[0]) <= 253
-        decoded, _ = decode_proof_sans(sans + ["example.com"], "example.com")
-        assert decoded == proof
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        sans = encode_payload_sans(payload, "example.com")
+        assert len(sans) == 2
+        assert sans[0].startswith("n0pe.") and sans[1].startswith("n1pe.")
+        assert all(s.endswith(".example.com") for s in sans)
+        assert all(len(s) <= 253 for s in sans)
+        decoded = _decode_sans(sans + ["example.com"], "example.com")
+        assert decoded == payload
 
     def test_san_multi_fragment_long_domain(self):
         long_domain = ("a" * 40 + ".") * 2 + "example.com"
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sans = encode_proof_sans(proof, long_domain)
-        assert len(sans) >= 2
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        sans = encode_payload_sans(payload, long_domain)
+        assert len(sans) >= 3
         assert sans[0].startswith("n0pe.") and sans[1].startswith("n1pe.")
-        decoded, _ = decode_proof_sans(sans, long_domain)
-        assert decoded == proof
+        assert _decode_sans(sans, long_domain) == payload
 
     def test_missing_fragment_detected(self):
         long_domain = ("a" * 40 + ".") * 2 + "example.com"
-        sans = encode_proof_sans(secrets.token_bytes(PROOF_BYTES), long_domain)
+        sans = encode_payload_sans(
+            secrets.token_bytes(PAYLOAD_BYTES), long_domain
+        )
         with pytest.raises(EncodingError):
-            decode_proof_sans(sans[:1], long_domain)
-
-    def test_metadata_out_of_range_rejected(self):
-        # metadata used to wrap silently (metadata % 37); now it must raise
-        proof = secrets.token_bytes(PROOF_BYTES)
-        for bad in (-1, 37, 1000):
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_chars(proof, metadata=bad)
-            with pytest.raises(EncodingError, match="metadata"):
-                encode_proof_sans(proof, "example.com", metadata=bad)
+            _decode_sans(sans[:1], long_domain)
+        with pytest.raises(EncodingError, match="missing"):
+            _decode_sans(sans[1:], long_domain)
 
     def test_subdomain_sans_not_absorbed_into_parent(self):
         # regression: decode for example.com used to absorb sub.example.com
         # fragments via endswith() and garble the payload
-        proof = secrets.token_bytes(PROOF_BYTES)
-        sub_sans = encode_proof_sans(proof, "sub.example.com")
+        payload = secrets.token_bytes(PAYLOAD_BYTES)
+        sub_sans = encode_payload_sans(payload, "sub.example.com")
         assert all(s.endswith(".example.com") for s in sub_sans)
         with pytest.raises(EncodingError):
-            decode_proof_sans(sub_sans, "example.com")
-        decoded, _ = decode_proof_sans(sub_sans, "sub.example.com")
-        assert decoded == proof
+            _decode_sans(sub_sans, "example.com")
+        assert _decode_sans(sub_sans, "sub.example.com") == payload
 
     def test_is_nope_san(self):
         assert is_nope_san("n0pe.aaa.example.com")
@@ -255,7 +257,7 @@ class TestSanEncoding:
 
     def test_no_nope_entries(self):
         with pytest.raises(EncodingError):
-            decode_proof_sans(["example.com"], "example.com")
+            _decode_sans(["example.com"], "example.com")
 
 
 class TestValidation:
