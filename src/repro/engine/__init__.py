@@ -25,7 +25,7 @@ from .fft import (
     cached_ifft,
     domain_root,
 )
-from .group import Group, JacobianGroup, OperatorGroup
+from .group import G2JacobianGroup, Group, JacobianGroup
 from .msm import msm_generic
 from .prepared import PreparedProvingKey, compile_system
 from .tables import FixedBaseTable
@@ -37,7 +37,7 @@ __all__ = [
     "get_engine",
     "Group",
     "JacobianGroup",
-    "OperatorGroup",
+    "G2JacobianGroup",
     "msm_generic",
     "FixedBaseTable",
     "PreparedProvingKey",

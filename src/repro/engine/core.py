@@ -33,7 +33,7 @@ from .fft import (
     cached_ifft,
     coset_extend,
 )
-from .group import JacobianGroup, OperatorGroup
+from .group import G2JacobianGroup, JacobianGroup
 from .msm import msm_generic
 from .prepared import (
     compile_system,
@@ -195,17 +195,23 @@ class Engine:
                 sc.append(k)
         return self.msm_affine_point(curve, bases, sc)
 
+    def msm_g2_affine(self, affine_bases, scalars):
+        """G2 Pippenger MSM over affine ``(x0, x1, y0, y1)`` tuples;
+        returns a ``G2Point``."""
+        from ..pairing.bn254 import G2Point
+
+        return G2Point.from_jacobian(
+            self._msm(G2JacobianGroup(), affine_bases, scalars)
+        )
+
     def msm_g2(self, points, scalars):
         """MSM over pairing ``G2Point``s (infinity entries skipped)."""
-        from ..pairing.bn254 import BN254_R, G2Point
-
         bases, sc = [], []
         for pt, k in zip(points, scalars):
             if not pt.is_infinity:
-                bases.append(pt)
+                bases.append(pt.to_affine_tuple())
                 sc.append(k)
-        group = OperatorGroup(G2Point.infinity(), order=BN254_R)
-        return self._msm(group, bases, sc)
+        return self.msm_g2_affine(bases, sc)
 
     # -- FFT -------------------------------------------------------------------
 

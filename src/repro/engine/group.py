@@ -10,14 +10,32 @@ Two adapters cover every group in the repro:
   endomorphism (``j = 0``, ``p = 1 mod 3``) additionally expose
   :meth:`~JacobianGroup.glv_split`, which the MSM uses to halve scalar
   widths over an endomorphism-mapped base set.
-* :class:`OperatorGroup` — any operator-overloaded group (pairing
-  ``G2Point``, affine ``Point``): elements and bases coincide, addition is
-  ``+``, identity is whatever the caller supplies.
+* :class:`G2JacobianGroup` — BN254 G2 on the sextic twist.  *Elements*
+  are Jacobian ``(X0, X1, Y0, Y1, Z0, Z1)`` tuples over Fq2, *bases* are
+  affine ``(x0, x1, y0, y1)`` tuples, and the arithmetic is the
+  ``g2_jac_*`` kernels of :mod:`repro.pairing.bn254`.  Bucket
+  accumulation is batched-affine like :class:`JacobianGroup`: the Fq2
+  denominators are inverted through their base-field norms, one
+  ``PrimeField.batch_inverse`` per round.  No GLV/GLS split.
 
 Both are picklable (they hold only curve constants; memoized endomorphism
 data is rebuilt lazily after unpickling), so they can cross a process-pool
 boundary for the parallel MSM path.
 """
+
+from ..field.prime_field import PrimeField
+from ..pairing.bn254 import (
+    BN254_P,
+    BN254_R,
+    G2_JAC_INFINITY,
+    g2_jac_add,
+    g2_jac_add_affine,
+    g2_jac_double,
+    g2_jac_is_infinity,
+    g2_jac_mul,
+)
+
+_FQ = PrimeField(BN254_P)
 
 
 class Group:
@@ -64,19 +82,9 @@ class Group:
     def reduce_buckets(self, bucket_lists):
         """Collapse each bucket's list of bases to one base (or None).
 
-        The default folds sequentially; :class:`JacobianGroup` overrides
-        with batched-affine accumulation.
+        Both adapters implement it as batched-affine accumulation.
         """
-        out = []
-        for lst in bucket_lists:
-            if not lst:
-                out.append(None)
-                continue
-            acc = self.identity()
-            for base in lst:
-                acc = self.add_mixed(acc, base)
-            out.append(None if self.is_identity(acc) else acc)
-        return out
+        raise NotImplementedError
 
 
 class JacobianGroup(Group):
@@ -228,30 +236,101 @@ class JacobianGroup(Group):
         return [lst[0] if lst else None for lst in lists]
 
 
-class OperatorGroup(Group):
-    """Adapter for operator-overloaded groups with an ``is_infinity`` flag."""
+class G2JacobianGroup(Group):
+    """Adapter for the BN254 twist's raw-int Jacobian kernels (stateless)."""
 
-    def __init__(self, identity_element, order=None):
-        self._identity = identity_element
-        self.order = order
+    order = BN254_R
 
     def identity(self):
-        return self._identity
+        return G2_JAC_INFINITY
 
     def is_identity(self, el):
-        return el.is_infinity
+        return g2_jac_is_infinity(el)
 
     def add(self, a, b):
-        return a + b
+        return g2_jac_add(a, b)
 
     def double(self, el):
-        return el + el
+        return g2_jac_double(el)
 
     def add_mixed(self, el, base):
-        return el + base
+        return g2_jac_add_affine(el, base)
 
     def scalar_mul(self, base, k):
-        return k * base
+        return g2_jac_mul(base + (1, 0), k)
 
     def neg_base(self, base):
-        return -base
+        return (base[0], base[1], -base[2] % BN254_P, -base[3] % BN254_P)
+
+    def reduce_buckets(self, bucket_lists):
+        """Batched-affine bucket accumulation over Fq2.
+
+        Same rounds and special cases as :meth:`JacobianGroup.reduce_buckets`.
+        A denominator ``d`` in Fq2 inverts as ``conj(d) / N(d)`` with the
+        norm ``N(d) = d0^2 + d1^2`` in Fq, so each round batch-inverts the
+        norms (nonzero for nonzero ``d``: -1 is a non-residue mod p).
+        """
+        p = BN254_P
+        lists = bucket_lists
+        while True:
+            norms = []
+            jobs = []  # (bucket, base1, base2 or None for a doubling, d0, d1)
+            nxt = [None] * len(lists)
+            pending = False
+            for bi, lst in enumerate(lists):
+                m = len(lst)
+                if m <= 1:
+                    nxt[bi] = lst
+                    continue
+                pending = True
+                keep = []
+                i = 0
+                while i + 1 < m:
+                    b1 = lst[i]
+                    b2 = lst[i + 1]
+                    if b1[0] == b2[0] and b1[1] == b2[1]:
+                        if (b1[2] + b2[2]) % p == 0 and (b1[3] + b2[3]) % p == 0:
+                            pass  # P + (-P): cancels, drop both
+                        else:
+                            d0, d1 = 2 * b1[2], 2 * b1[3]
+                            norms.append((d0 * d0 + d1 * d1) % p)
+                            jobs.append((bi, b1, None, d0, d1))
+                    else:
+                        d0, d1 = b2[0] - b1[0], b2[1] - b1[1]
+                        norms.append((d0 * d0 + d1 * d1) % p)
+                        jobs.append((bi, b1, b2, d0, d1))
+                    i += 2
+                if i < m:
+                    keep.append(lst[i])
+                nxt[bi] = keep
+            if not pending:
+                break
+            invs = _FQ.batch_inverse(norms)
+            for (bi, b1, b2, d0, d1), ninv in zip(jobs, invs):
+                x10, x11, y10, y11 = b1
+                if b2 is None:
+                    # lam = 3 x1^2 / (2 y1)
+                    x20, x21 = x10, x11
+                    n0 = 3 * (x10 + x11) * (x10 - x11)
+                    n1 = 6 * x10 * x11
+                else:
+                    x20, x21, y20, y21 = b2
+                    n0, n1 = y20 - y10, y21 - y11
+                i0 = d0 * ninv % p
+                i1 = -d1 * ninv % p
+                t0 = n0 * i0
+                t1 = n1 * i1
+                l0 = (t0 - t1) % p
+                l1 = ((n0 + n1) * (i0 + i1) - t0 - t1) % p
+                x30 = ((l0 + l1) * (l0 - l1) - x10 - x20) % p
+                x31 = (2 * l0 * l1 - x11 - x21) % p
+                u0, u1 = x10 - x30, x11 - x31
+                t0 = l0 * u0
+                t1 = l1 * u1
+                nxt[bi].append((
+                    x30, x31,
+                    (t0 - t1 - y10) % p,
+                    ((l0 + l1) * (u0 + u1) - t0 - t1 - y11) % p,
+                ))
+            lists = nxt
+        return [lst[0] if lst else None for lst in lists]

@@ -1,7 +1,7 @@
 """Group-generic Pippenger multi-scalar multiplication.
 
-One implementation serves every MSM in the repro: G1 (Jacobian tuples with
-batched-affine bucket accumulation), G2 (operator arithmetic on the twist),
+One implementation serves every MSM in the repro: G1 and G2 (Jacobian
+tuples with batched-affine bucket accumulation; G2 over Fq2 on the twist),
 and the verifier's small IC combination.  The kernel composes three
 constant-factor optimizations over the classic unsigned bucket loop:
 
@@ -12,7 +12,8 @@ constant-factor optimizations over the classic unsigned bucket loop:
 * **Batched-affine bucket accumulation** — bucket contents collapse via
   rounds of pairwise *affine* additions sharing one Montgomery batch
   inversion per round (``PrimeField.batch_inverse``), instead of one
-  Jacobian mixed add per point (see ``JacobianGroup.reduce_buckets``).
+  Jacobian mixed add per point (see ``JacobianGroup.reduce_buckets`` and
+  ``G2JacobianGroup.reduce_buckets``).
 * **GLV decomposition** — on endomorphism-capable curves (BN254 G1,
   secp256k1) every scalar splits as ``k = k1 + k2*lam`` with half-width
   halves over an endomorphism-mapped base set (``group.glv_split``),

@@ -3,10 +3,10 @@
 A Groth16 proving key's CRS queries are mostly sparse — for a typical NOPE
 statement the bulk of ``b_query`` entries are the identity (variables that
 never appear on a B side).  Preparing a key walks each query once, keeps
-only the non-identity entries, and strips G1 points down to the affine
-tuples the Jacobian MSM consumes.  Every later proof then gathers scalars
-against the sparse index lists instead of rescanning full-length queries
-and re-unwrapping Point objects.
+only the non-identity entries, and strips G1 and G2 points down to the
+affine int tuples the Jacobian MSMs consume.  Every later proof then
+gathers scalars against the sparse index lists instead of rescanning
+full-length queries and re-unwrapping Point objects.
 
 Preparation is memoized per proving-key object (weakly, so keys can be
 garbage collected); one ``StatementKeys`` therefore pays the walk once no
@@ -108,7 +108,7 @@ def _sparse_g2(points):
     for i, pt in enumerate(points):
         if not pt.is_infinity:
             indices.append(i)
-            bases.append(pt)
+            bases.append(pt.to_affine_tuple())
     return SparseQuery(indices, bases)
 
 

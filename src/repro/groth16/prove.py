@@ -129,7 +129,7 @@ def prove(pk, system, rng=None, engine=None):
 
         with _span("prove.msm.b_g2"):
             b2_bases, b2_sc = prep.b_g2.gather(z)
-            g2_b = eng.msm_g2(b2_bases, b2_sc)
+            g2_b = eng.msm_g2_affine(b2_bases, b2_sc)
             g2_b = pk.beta_g2 + g2_b + s * pk.delta_g2
 
         # C = sum_w z_i L_i/delta + sum h_k tau^k Z/delta + s*A + r*B1 - rs*delta

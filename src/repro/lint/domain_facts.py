@@ -106,6 +106,17 @@ FACTS = {
     "jac_mul": Sig((TOP, CANON_P, CANON_N), CANON_P),
     "jac_neg": Sig((TOP, CANON_P), CANON_P),
     "jac_to_affine": Sig((TOP, CANON_P), CANON_P),
+    # -- pairing/bn254.py: canonical Jacobian kernels on the twist -------
+    # Fq2 coordinates travel as canonical int pairs; the scalar of
+    # g2_jac_mul is any int (not reduced mod n, negatives allowed)
+    "_f2mul": Sig(None, CANON_P),
+    "_f2sqr": Sig(None, CANON_P),
+    "g2_jac_double": Sig((CANON_P,), CANON_P),
+    "g2_jac_add": Sig((CANON_P, CANON_P), CANON_P),
+    "g2_jac_add_affine": Sig((CANON_P, CANON_P), CANON_P),
+    "g2_jac_mul": Sig((CANON_P, TOP), CANON_P),
+    "g2_jac_neg": Sig((CANON_P,), CANON_P),
+    "g2_jac_to_affine": Sig((CANON_P,), CANON_P),
     # -- field/extension.py: lazy tower ----------------------------------
     # the raw combinators produce double-wide unreduced tuples; only the
     # boundary reducers may consume them.
@@ -131,6 +142,9 @@ FACTS = {
     "straus": Sig((TOP, CANON_N), OPAQUE),
     "msm_generic": Sig((TOP, TOP, CANON_N), OPAQUE),
     "msm_reference": Sig((TOP, TOP, CANON_N), OPAQUE),
+    # -- engine: the G2 MSM adapter and its entry point ------------------
+    "G2JacobianGroup": Sig((), OPAQUE),
+    "msm_g2_affine": Sig((CANON_P, CANON_N), OPAQUE),
     # -- wire layer: proof bytes, envelopes, nullifiers ------------------
     "proof_to_bytes": Sig((TOP,), WIRE),
     "proof_from_bytes": Sig((WIRE,), OPAQUE),

@@ -25,7 +25,7 @@ import pytest
 from repro.ec.curve import Point
 from repro.ec.curves import TOY29, curve_by_name
 from repro.engine import Engine, EngineConfig
-from repro.engine.group import JacobianGroup, OperatorGroup
+from repro.engine.group import G2JacobianGroup, JacobianGroup
 from repro.engine.msm import msm_generic, msm_reference
 from repro.pairing.bn254 import BN254_R, G2_GENERATOR, G2Point
 
@@ -50,7 +50,7 @@ def _g2_workload(seed, n):
     rng = random.Random(seed)
     points = [rng.randrange(1, BN254_R) * G2_GENERATOR for _ in range(n)]
     scalars = [rng.randrange(0, BN254_R) for _ in range(n)]
-    return points, scalars
+    return [pt.to_affine_tuple() for pt in points], scalars
 
 
 def _case_id(case):
@@ -72,9 +72,8 @@ def test_g1_matches_golden(case, kernel):
 @pytest.mark.parametrize("kernel", [msm_generic, msm_reference],
                          ids=["optimized", "reference"])
 def test_g2_matches_golden(case, kernel):
-    points, scalars = _g2_workload(case["seed"], case["n"])
-    group = OperatorGroup(G2Point.infinity(), order=BN254_R)
-    got = kernel(group, points, scalars)
+    bases, scalars = _g2_workload(case["seed"], case["n"])
+    got = G2Point.from_jacobian(kernel(G2JacobianGroup(), bases, scalars))
     assert [hex(v) for v in (got.x.c0, got.x.c1)] == case["x"]
     assert [hex(v) for v in (got.y.c0, got.y.c1)] == case["y"]
 
@@ -97,6 +96,22 @@ def test_bucket_special_cases():
         )
         assert got == want
     assert p  # silence unused warnings on minimal configs
+
+
+def test_g2_bucket_special_cases():
+    """The Fq2 batched-affine buckets hit P+P and P+(-P) exactly too."""
+    g = G2_GENERATOR
+    pts = [g, g, g, -g, 2 * g, -(2 * g), 3 * g]
+    bases = [pt.to_affine_tuple() for pt in pts]
+    for scalars in ([5] * 7, [1] * 7, [BN254_R - 1] * 7,
+                    [3, 3, 3, 3, 7, 7, 7]):
+        want = G2Point.infinity()
+        for pt, k in zip(pts, scalars):
+            want = want + k * pt
+        got = G2Point.from_jacobian(
+            msm_generic(G2JacobianGroup(), bases, list(scalars))
+        )
+        assert got == want
 
 
 def test_serial_parallel_parity():
